@@ -20,7 +20,7 @@ from .errors import (
     TooManyBasisVectors,
 )
 from .simplex import solve_from_basis
-from .spaces import NormedSpace, Subspace, orthonormal_rows
+from .spaces import NormedSpace, Subspace
 
 DESCENT_MAX_ITER = 10_000
 DESCENT_STEP_TOL = 1e-10
@@ -67,13 +67,14 @@ def project_euclidean(x, subspace: Subspace, weights=None) -> np.ndarray:
     """Euclidean-norm minimizer of ||x - y|| over the subspace.
 
     Weights fold in by rescaling coordinates; the returned minimizer lives
-    in the original coordinates and in the span of the basis.
+    in the original coordinates and in the span of the basis. The frame is
+    the subspace's own, orthonormalised once per scaling.
     """
     x = np.asarray(x, dtype=float)
     if weights is None:
         return subspace.project(x)
     w = np.asarray(weights, dtype=float)
-    onb = orthonormal_rows(subspace.basis * w, require_full_rank=True)
+    onb = subspace.orthonormal_basis(w)
     return (((x * w) @ onb.T) @ onb) / w
 
 

@@ -85,8 +85,8 @@ class MismatchedInputs(LethargyLabError):
     """Report inputs were built from different underlying objects."""
 
 
-class ConfigInvalid(LethargyLabError):
-    """Scenario configuration failed schema validation."""
+class ConfigInvalid(LethargyLabError, ValueError):
+    """Scenario or chain configuration failed validation."""
 
     def __init__(self, message, path=""):
         super().__init__(message)

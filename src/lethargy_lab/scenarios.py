@@ -41,6 +41,8 @@ from .spaces import (
     SubspaceChain,
     make_chain_from_bases,
     make_coordinate_chain,
+    reject_nonfinite,
+    space_from_json,
 )
 from .witness import witness_coordinate_exact, witness_solve
 
@@ -124,7 +126,7 @@ SCENARIO_SCHEMA = {
 
 
 def validate_config(config: dict) -> None:
-    """Schema plus cross-field validation; failures carry the field path."""
+    """Schema, finiteness and cross-field checks; failures carry the field path."""
     import jsonschema
 
     try:
@@ -132,6 +134,7 @@ def validate_config(config: dict) -> None:
     except jsonschema.ValidationError as exc:
         path = "/".join(str(part) for part in exc.absolute_path)
         raise ConfigInvalid(f"{path or '<root>'}: {exc.message}", path=path) from exc
+    reject_nonfinite(config)
 
     d = config["d"]
     if d["kind"] == "geometric":
@@ -172,15 +175,6 @@ def _normalized(config: dict) -> dict:
     return cfg
 
 
-def _build_space(cfg: dict) -> NormedSpace:
-    p = cfg["p"]
-    if p == "inf":
-        p = math.inf
-    weights = cfg.get("weights")
-    return NormedSpace(cfg["dim"], float(p),
-                       None if weights is None else np.asarray(weights, float))
-
-
 def _error_values(cfg_d: dict, extra: int) -> np.ndarray:
     if cfg_d["kind"] == "geometric":
         n = cfg_d["N"] + extra
@@ -194,11 +188,8 @@ def _build_chain(space: NormedSpace, cfg_chain: dict, d_len: int) -> SubspaceCha
         n_sub = min(space.dim - 1, d_len + 1)
         return make_coordinate_chain(space, n_sub)
     if kind == "bases":
-        bases = [np.asarray(b, float) for b in cfg_chain["bases"]]
-        staircase = cfg_chain.get("staircase")
-        if staircase is not None:
-            staircase = [np.asarray(q, float) for q in staircase]
-        return make_chain_from_bases(space, bases, staircase)
+        return make_chain_from_bases(space, cfg_chain["bases"],
+                                     cfg_chain.get("staircase"))
     grid = cfg_chain["grid"]
     max_degree = cfg_chain["max_degree"]
     if space.dim != grid:
@@ -217,24 +208,22 @@ def _chebyshev_columns(grid: int, count: int) -> np.ndarray:
     return np.polynomial.chebyshev.chebvander(2.0 * t - 1.0, count - 1)
 
 
-def _status_bundle(bundle: dict, status: str, exit_code: int) -> dict:
+def _finish(bundle: dict, status: str, exit_code: int, out_dir, fmt: str,
+            report=None) -> dict:
+    """Record the run's status and write its reports when ``out_dir`` is set."""
     bundle["status"] = status
     bundle["exit_code"] = exit_code
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        name = bundle["name"]
+        if bundle.get("stage", "verify") != "verify":
+            name = f"{name}.{bundle['stage']}"  # keep stages from clobbering verify runs
+        if fmt in ("json", "both"):
+            write_json(bundle, out / f"{name}.json")
+        if fmt in ("csv", "both") and report is not None:
+            write_sandwich_csv(report, out / f"{name}.csv")
     return bundle
-
-
-def _write_bundle(bundle: dict, out_dir, fmt: str, report=None) -> None:
-    if out_dir is None:
-        return
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    name = bundle["name"]
-    if bundle.get("stage", "verify") != "verify":
-        name = f"{name}.{bundle['stage']}"  # keep stages from clobbering verify runs
-    if fmt in ("json", "both"):
-        write_json(bundle, out / f"{name}.json")
-    if fmt in ("csv", "both") and report is not None:
-        write_sandwich_csv(report, out / f"{name}.csv")
 
 
 def run_scenario(
@@ -258,7 +247,7 @@ def run_scenario(
     cfg = _normalized(config)
     if mode is not None:
         cfg["mode"] = mode
-    space = _build_space(cfg["space"])
+    space = space_from_json(cfg["space"])
     if stage in ("witness", "verify") and space.p != 2.0:
         raise ConfigInvalid(
             "space/p: witness construction requires the Euclidean norm; "
@@ -334,18 +323,14 @@ def run_scenario(
         }
         bundle["conditions"] = reports
         passed = span.passed and reports["uniform_separation"]["positive"]
-        _status_bundle(bundle, "pass" if passed else "condition-failure",
-                       0 if passed else 2)
-        _write_bundle(bundle, out_dir, fmt)
-        return bundle
+        return _finish(bundle, "pass" if passed else "condition-failure",
+                       0 if passed else 2, out_dir, fmt)
 
     bundle["plan"] = plan.as_dict()
     if plan.stalled:
         bundle["provenance"]["note"] = (
             "literal-mode recursion repeated an anchor; no witness was built")
-        _status_bundle(bundle, "stalled", 4)
-        _write_bundle(bundle, out_dir, fmt)
-        return bundle
+        return _finish(bundle, "stalled", 4, out_dir, fmt)
 
     steps = build_step_sequence(plan, d_full, profile, cfg["c"])
     tilde = compute_tilde_a([(plan, profile)])
@@ -353,9 +338,7 @@ def run_scenario(
     bundle["step_checks"] = [ch.as_dict() for ch in verify_step_inequality(steps, profile)]
     bundle["tilde_a"] = tilde.as_dict()
     if stage == "plan":
-        _status_bundle(bundle, "pass", 0)
-        _write_bundle(bundle, out_dir, fmt)
-        return bundle
+        return _finish(bundle, "pass", 0, out_dir, fmt)
 
     orthogonal = (
         cfg["chain"]["type"] == "coordinate"
@@ -374,19 +357,15 @@ def run_scenario(
         except NoProgress as exc:
             bundle["witness"] = None if exc.witness is None else exc.witness.as_dict()
             bundle["provenance"]["note"] = str(exc)
-            _status_bundle(bundle, "no-progress", 4)
-            _write_bundle(bundle, out_dir, fmt)
-            return bundle
+            return _finish(bundle, "no-progress", 4, out_dir, fmt)
     bundle["witness"] = wit.as_dict()
     bundle["provenance"]["solver_methods"] = [wit.method]
     if not wit.converged:
         bundle["provenance"]["estimated_quantities"].append(
             "witness residual above acceptance threshold")
     if stage == "witness":
-        _status_bundle(bundle, "pass" if wit.converged else "unconverged",
-                       0 if wit.converged else 4)
-        _write_bundle(bundle, out_dir, fmt)
-        return bundle
+        return _finish(bundle, "pass" if wit.converged else "unconverged",
+                       0 if wit.converged else 4, out_dir, fmt)
 
     coverage = max(zj for zj, _ in wit.targets)
     n_rows = min(rows_wanted, coverage, chain.horizon, d_full.N)
@@ -396,9 +375,8 @@ def run_scenario(
     bundle["provenance"]["horizons"]["coverage"] = coverage
     bundle["provenance"]["horizons"]["reported_rows"] = n_rows
     status = "pass" if report.overall_passed else "bound-violation"
-    _status_bundle(bundle, status, 0 if report.overall_passed else 2)
-    _write_bundle(bundle, out_dir, fmt, report)
-    return bundle
+    return _finish(bundle, status, 0 if report.overall_passed else 2, out_dir, fmt,
+                   report)
 
 
 # ---------------------------------------------------------------------------

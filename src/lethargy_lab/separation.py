@@ -42,8 +42,7 @@ class RatioValue:
 def _exact_ratio(space: NormedSpace, span_rows: np.ndarray, target: Subspace) -> RatioValue:
     w = space.scaling()
     span_frame = orthonormal_rows(span_rows * w)
-    target_frame = orthonormal_rows(target.basis * w)
-    cross = target_frame @ span_frame.T
+    cross = target.orthonormal_basis(space.weights) @ span_frame.T
     u, s, vh = np.linalg.svd(cross)
     sigma = min(1.0, float(s[0])) if s.size else 0.0
     value = math.sqrt(max(0.0, 1.0 - sigma * sigma))

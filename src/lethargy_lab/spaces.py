@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     BadStaircase,
+    ConfigInvalid,
     DimensionMismatch,
     HorizonTooLarge,
     NotNested,
@@ -104,19 +105,23 @@ def norm_of(space: NormedSpace, v) -> float:
 
 @dataclass
 class Subspace:
-    """Linear subspace given by an ordered, linearly independent basis (rows)."""
+    """Linear subspace given by an ordered, linearly independent basis (rows),
+    orthonormalised once: by the rank-checking SVD at construction (unless the
+    frame comes in as ``_orthonormal``), and once per distinct scaling."""
 
     basis: np.ndarray
     _orthonormal: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _scaled: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         b = np.atleast_2d(np.array(self.basis, dtype=float))
         if b.shape[0] > b.shape[1]:
             raise RankDeficientBasis("more basis vectors than ambient dimensions")
-        if np.linalg.matrix_rank(b) < b.shape[0]:
-            raise RankDeficientBasis("basis vectors are linearly dependent")
         b.setflags(write=False)
         self.basis = b
+        if self._orthonormal is None:
+            self._orthonormal = orthonormal_rows(b, require_full_rank=True)
+        self._orthonormal = _readonly(self._orthonormal)
 
     @property
     def dim(self) -> int:
@@ -126,12 +131,17 @@ class Subspace:
     def ambient_dim(self) -> int:
         return self.basis.shape[1]
 
-    def orthonormal_basis(self) -> np.ndarray:
-        if self._orthonormal is None:
-            onb = orthonormal_rows(self.basis, require_full_rank=True)
-            onb.setflags(write=False)
-            self._orthonormal = onb
-        return self._orthonormal
+    def orthonormal_basis(self, scaling=None) -> np.ndarray:
+        """Orthonormal rows spanning the subspace, or with ``scaling`` w the
+        rescaled subspace {w * y : y in Y}; each is computed once."""
+        if scaling is None:
+            return self._orthonormal
+        w = np.asarray(scaling, dtype=float)
+        key = w.tobytes()
+        if key not in self._scaled:
+            self._scaled[key] = _readonly(
+                orthonormal_rows(self.basis * w, require_full_rank=True))
+        return self._scaled[key]
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """Euclidean orthogonal projection of ``v`` onto the subspace."""
@@ -191,7 +201,8 @@ def make_coordinate_chain(space: NormedSpace, n: int) -> SubspaceChain:
     if n >= space.dim:
         raise HorizonTooLarge(f"horizon {n} needs ambient dimension > {n}")
     eye = np.eye(space.dim)
-    subspaces = [Subspace(eye[:k]) for k in range(1, n + 1)]
+    # identity rows are their own orthonormal frame
+    subspaces = [Subspace(eye[:k], eye[:k]) for k in range(1, n + 1)]
     staircase = [eye[k] for k in range(1, n)]
     return SubspaceChain(space, subspaces, staircase)
 
@@ -336,13 +347,32 @@ class ErrorSequence:
         return cls(first * ratio ** np.arange(n), c)
 
 
+def reject_nonfinite(doc, path: tuple = ()) -> None:
+    """Raise ConfigInvalid, with the field path, at the first NaN or infinity
+    of a parsed JSON document, or null inside an array (it loads as NaN);
+    schema bounds let NaN through."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, (list, np.ndarray)):
+        try:  # one vectorized pass over a numeric array
+            if np.isfinite(np.asarray(doc, dtype=float)).all():
+                return
+        except (TypeError, ValueError, OverflowError):  # ragged or non-numeric
+            pass
+        items = enumerate(doc)
+    else:
+        return
+    for key, item in items:
+        if (isinstance(item, float) and not math.isfinite(item)
+                or item is None and not isinstance(doc, dict)):
+            where = "/".join(str(part) for part in path + (key,))
+            raise ConfigInvalid(f"{where}: must be a finite number", path=where)
+        reject_nonfinite(item, path + (key,))
+
+
 def space_from_json(doc: dict) -> NormedSpace:
-    p = doc.get("p", 2)
-    if p == "inf":
-        p = math.inf
-    weights = doc.get("weights")
-    return NormedSpace(int(doc["dim"]), float(p),
-                       None if weights is None else np.asarray(weights, dtype=float))
+    # float() also parses the schema's "inf"
+    return NormedSpace(int(doc["dim"]), float(doc.get("p", 2)), doc.get("weights"))
 
 
 def chain_from_json(source) -> SubspaceChain:
@@ -350,22 +380,13 @@ def chain_from_json(source) -> SubspaceChain:
 
     Schema: {"dim": int, "p": number|"inf", "weights": [..]|null,
     "bases": [[[..],..],..], "staircase": [[..],..]|null}; row vectors are
-    ambient-length arrays of finite doubles.
+    ambient-length arrays of finite doubles (else ConfigInvalid).
     """
     if isinstance(source, (str, Path)):
         with open(source) as fh:
             doc = json.load(fh)
     else:
         doc = source
-    space = space_from_json(doc)
-    bases = [np.asarray(b, dtype=float) for b in doc["bases"]]
-    for b in bases:
-        if not np.all(np.isfinite(b)):
-            raise ValueError("basis entries must be finite")
-    staircase = doc.get("staircase")
-    if staircase is not None:
-        staircase = [np.asarray(q, dtype=float) for q in staircase]
-        for q in staircase:
-            if not np.all(np.isfinite(q)):
-                raise ValueError("staircase entries must be finite")
-    return make_chain_from_bases(space, bases, staircase)
+    reject_nonfinite(doc)
+    return make_chain_from_bases(space_from_json(doc), doc["bases"],
+                                 doc.get("staircase"))

@@ -35,7 +35,6 @@ from .spaces import (
     NormedSpace,
     Subspace,
     SubspaceChain,
-    orthonormal_rows,
 )
 
 SOLVE_TOL = 1e-10          # relative target error the iteration aims for
@@ -91,7 +90,7 @@ def witness_coordinate_exact(d: ErrorSequence, c: float, dim: int) -> Witness:
     space = NormedSpace(dim, 2.0)
     eye = np.eye(dim)
     targets = [(k, c * float(d.values[k - 1])) for k in range(1, n + 1)]
-    achieved = [distance(space, vector, Subspace(eye[:k])).value
+    achieved = [distance(space, vector, Subspace(eye[:k], eye[:k])).value
                 for k in range(1, n + 1)]
     residual = max(abs(a - t) for (_, t), a in zip(targets, achieved))
     return Witness(coefficients, vector, targets, achieved, residual,
@@ -146,7 +145,7 @@ def witness_solve(
     tails = [zj - 1 for zj in z]
     maps = []
     for j in range(J):
-        onb = orthonormal_rows(chain.subspaces[z[j] - 1].basis * w)
+        onb = chain.subspaces[z[j] - 1].orthonormal_basis(chain.space.weights)
         block = frame[:, tails[j]:]
         maps.append(block - onb.T @ (onb @ block))
 

@@ -10,7 +10,9 @@ from lethargy_lab import (
     NormedSpace,
     Subspace,
     distance,
+    make_coordinate_chain,
 )
+from lethargy_lab import separation
 from lethargy_lab.cli import main
 from lethargy_lab.scenarios import (
     _chebyshev_columns,
@@ -119,6 +121,87 @@ def test_config_validation_paths():
     cfg["c"] = 1.5
     with pytest.raises(ConfigInvalid):
         validate_config(cfg)
+
+
+# Each of these passed the JSON schema, whose bounds are false for NaN, and
+# then crashed, misreported a dependent basis or ran to a bogus verdict.
+NON_FINITE = [  # (field path, value put there)
+    ("chain/staircase/0/1", math.nan),
+    ("chain/bases/2/0/0", math.inf),
+    ("chain/bases/1/1/2", None),  # loads as NaN
+    ("space/weights/3", math.nan),
+    ("c", math.nan),
+    ("d/ratio", math.nan),
+    ("d/values/2", math.nan),
+]
+
+
+@pytest.mark.parametrize("path, value", NON_FINITE, ids=[p for p, _ in NON_FINITE])
+def test_non_finite_config_numbers_are_config_errors(tmp_path, capsys, path, value):
+    cfg = tilted_chain_config(rows=4, dim=8)
+    cfg["space"]["weights"] = [1.0] * 8
+    if path.startswith("d/values"):
+        cfg["d"] = {"kind": "explicit", "values": [1.0, 0.5, 0.25, 0.125]}
+    validate_config(cfg)
+    *parents, last = [int(k) if k.isdigit() else k for k in path.split("/")]
+    node = cfg
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    with pytest.raises(ConfigInvalid) as excinfo:
+        validate_config(cfg)
+    assert excinfo.value.path == path
+
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(cfg))  # json writes NaN and Infinity literals
+    assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
+    assert f"config error: {path}: " in capsys.readouterr().err
+    assert not list(tmp_path.glob("tilted-chain*"))
+
+
+def test_each_subspace_is_orthonormalised_once(monkeypatch):
+    calls = {"svd": 0, "levels": 0}
+    real_svd, real_ratio = np.linalg.svd, separation._exact_ratio
+
+    def counting_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return real_svd(*args, **kwargs)
+
+    def counting_ratio(*args, **kwargs):
+        calls["levels"] += 1
+        return real_ratio(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    # matrix_rank looks svd up in the globals of its own module
+    rank = getattr(np.linalg.matrix_rank, "__wrapped__", np.linalg.matrix_rank)
+    monkeypatch.setitem(rank.__globals__, "svd", counting_svd)
+    monkeypatch.setattr(separation, "_exact_ratio", counting_ratio)
+
+    # coordinate subspaces come with their frame; distances only read it
+    dim = 48
+    space = NormedSpace(dim, 2.0)
+    chain = make_coordinate_chain(space, 41)
+    x = np.linspace(-1.0, 1.0, dim)
+    for sub in chain.subspaces:
+        distance(space, x, sub)
+    assert calls["svd"] == 0
+
+    # a weighted frame is factored once per subspace and then reused
+    w = np.linspace(1.0, 2.0, dim)
+    weighted = NormedSpace(dim, 2.0, w)
+    for _ in range(2):
+        for sub in chain.subspaces:
+            distance(weighted, x, sub)
+    assert calls["svd"] == len(chain.subspaces)
+    sub = chain.subspaces[5]
+    assert sub.orthonormal_basis(w.copy()) is sub.orthonormal_basis(w)
+
+    # verify: a span frame and the cross-Gram SVD per separation level, no more
+    calls["svd"] = 0
+    bundle = run_scenario(orthogonal_geometric_config(rows=40, dim=dim))
+    assert bundle["status"] == "pass"
+    assert calls["levels"] >= 40
+    assert calls["svd"] <= 2 * calls["levels"]
 
 
 def test_witness_stage_requires_euclidean_norm():
