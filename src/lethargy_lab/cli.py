@@ -17,14 +17,6 @@ from pathlib import Path
 from .errors import ConfigInvalid, LethargyLabError, NoProgress, PlanStalled
 from .scenarios import bundled_scenarios, demo_dense_chain, run_scenario
 
-STAGE_BY_COMMAND = {
-    "analyze": "analyze",
-    "plan": "plan",
-    "witness": "witness",
-    "verify": "verify",
-}
-
-
 def _load_config(source: str) -> dict:
     path = Path(source)
     if path.exists():
@@ -90,7 +82,7 @@ def main(argv=None) -> int:
             return 0
         config = _load_config(args.config)
         bundle = run_scenario(config, seed=args.seed, out_dir=args.out,
-                              fmt=args.fmt, stage=STAGE_BY_COMMAND[args.command],
+                              fmt=args.fmt, stage=args.command,
                               mode=args.mode)
         print(f"{bundle['name']}: {bundle['status']}")
         return int(bundle["exit_code"])

@@ -116,7 +116,6 @@ SCENARIO_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "sphere_samples": {"type": "integer", "minimum": 1},
-                "descent_iters": {"type": "integer", "minimum": 1},
                 "tol": {"type": "number", "exclusiveMinimum": 0},
             },
         },
@@ -169,7 +168,6 @@ def _normalized(config: dict) -> dict:
         cfg["d"].setdefault("N", len(cfg["d"]["values"]))
     est = cfg.setdefault("estimation", {})
     est.setdefault("sphere_samples", 4096)
-    est.setdefault("descent_iters", 10_000)
     est.setdefault("tol", 1e-10)
     cfg.setdefault("horizon_margin", DEFAULT_MARGIN)
     return cfg
@@ -258,7 +256,7 @@ def run_scenario(
     extendable = cfg["d"]["kind"] == "geometric"
     margin = cfg["horizon_margin"] if extendable else 0
 
-    chain = profile = plan = None
+    chain = profile = plan = steps = None
     d_full = None
     for _ in range(MAX_EXTENSION_ATTEMPTS):
         d_full = ErrorSequence(_error_values(cfg["d"], margin), cfg["c"])
@@ -314,8 +312,7 @@ def run_scenario(
                 d_full, "idealized-geometric").as_dict()
         except NotGeometricSequence:
             pass
-        span = check_span_ratio_condition(
-            chain, d_full, samples=min(est["sphere_samples"], 256), seed=seed)
+        span = check_span_ratio_condition(chain, d_full, profile)
         reports["span_ratio"] = span.as_dict()
         reports["uniform_separation"] = {
             "min_a": float(profile.a.min()),
@@ -332,7 +329,6 @@ def run_scenario(
             "literal-mode recursion repeated an anchor; no witness was built")
         return _finish(bundle, "stalled", 4, out_dir, fmt)
 
-    steps = build_step_sequence(plan, d_full, profile, cfg["c"])
     tilde = compute_tilde_a([(plan, profile)])
     bundle["steps"] = steps.as_dict()
     bundle["step_checks"] = [ch.as_dict() for ch in verify_step_inequality(steps, profile)]

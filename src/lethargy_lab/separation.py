@@ -312,55 +312,39 @@ def check_geometric_condition(d: ErrorSequence, mode: str = "truncated") -> Cond
 def check_span_ratio_condition(
     chain: SubspaceChain,
     d: ErrorSequence,
-    samples: int = 256,
-    seed: int = 0,
+    profile: SeparationProfile | None = None,
 ) -> ConditionReport:
     """Check ||q|| <= (d_{k-1}/d_k) rho(q, Y_k) on tail spans, k = 2..N.
 
-    Equivalently the tail-span ratio at k must reach d_k/d_{k-1}. Euclidean
-    chains use the exact principal-angle value (certified, with the
-    minimizing direction as witness on failure); other norms sample, which
+    Equivalently the tail-span ratio at k must reach d_k/d_{k-1}. The ratios
+    are the ones behind ``profile``, the chain's separation profile (computed
+    here when not given), and a failure's witness is the direction that
+    attained the ratio. Euclidean ratios are exact principal angles
+    (certified); sampled ones are attained at concrete directions, so they
     can only falsify.
     """
+    if profile is None:
+        profile = separation_profile(chain)
+    ratios = profile.ratios
+    if ratios is None or len(ratios) != len(chain.staircase):
+        raise ValueError("profile must carry one tail-span ratio per "
+                         "staircase vector of the chain")
     k_max = min(len(chain.staircase), d.N)
     if np.any(d.values[:k_max] <= 0):
         raise ValueError("d must be strictly positive over the checked range")
-    exact = chain.space.p == 2.0
     failures: list[ConditionFailure] = []
     margins: list[float] = []
     for k in range(2, k_max + 1):
         required = float(d.values[k - 1] / d.values[k - 2])
-        if exact:
-            ratio = min_ratio_over_span(chain, k)
-            margins.append(ratio.value - required)
-            if ratio.value < required - 1e-12:
-                q = ratio.witness
-                rho = distance(chain.space, q, chain.subspaces[k - 1]).value
-                failures.append(ConditionFailure(
-                    k, chain.space.norm_of(q), rho / required, q,
-                ))
-        else:
-            rng = np.random.default_rng([seed, k])
-            span_rows = np.vstack(chain.staircase[k - 1:])
-            frame = orthonormal_rows(span_rows)
-            worst = math.inf
-            worst_q = None
-            for _ in range(samples):
-                u = rng.normal(size=frame.shape[0])
-                nrm = np.linalg.norm(u)
-                if nrm < 1e-12:
-                    continue
-                q = (u / nrm) @ frame
-                ratio_val = distance(chain.space, q, chain.subspaces[k - 1]).value \
-                    / chain.space.norm_of(q)
-                if ratio_val < worst:
-                    worst, worst_q = ratio_val, q
-            margins.append(worst - required)
-            if worst < required - 1e-12:
-                rho = distance(chain.space, worst_q, chain.subspaces[k - 1]).value
-                failures.append(ConditionFailure(
-                    k, chain.space.norm_of(worst_q), rho / required, worst_q,
-                ))
+        ratio = ratios[k - 1]
+        margins.append(ratio.value - required)
+        if ratio.value < required - 1e-12:
+            q = ratio.witness
+            rho = distance(chain.space, q, chain.subspaces[k - 1]).value
+            failures.append(ConditionFailure(
+                k, chain.space.norm_of(q), rho / required, q,
+            ))
     margin = min(margins) if margins else None
+    exact = profile.certified
     return ConditionReport("span-ratio", not failures, failures, margin,
                            certified=exact, mode="exact" if exact else "sampled")

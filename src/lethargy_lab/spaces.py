@@ -31,8 +31,19 @@ from .errors import (
 # far below meaningful geometric gaps in any test scenario.
 CONTAINMENT_TOL = 1e-10
 
+# binary exponents of the normal double range
+_MIN_EXP = np.finfo(float).minexp
+_MAX_EXP = np.finfo(float).maxexp
+
 
 def _readonly(a) -> np.ndarray:
+    """Read-only float64 copy of ``a``; ``a`` itself when neither it nor the
+    array it views can be written, so frozen data is shared, not copied."""
+    if (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and not a.flags.writeable
+            and (a.base is None or isinstance(a.base, np.ndarray)
+                 and not a.base.flags.writeable)):
+        return a
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
@@ -93,9 +104,23 @@ class NormedSpace:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.dim,):
             raise DimensionMismatch(f"expected length {self.dim}, got {v.shape}")
-        if self.weights is not None:
-            v = v * self.weights
-        return float(np.linalg.norm(v, ord=self.p))
+        s = float(np.max(np.abs(v)))
+        if s == 0.0:
+            return 0.0
+        wv = v if self.weights is None else v * self.weights
+        m = float(np.max(np.abs(wv)))
+        # sum |w_i v_i|^p stays normal while p*log2(m) does, with log2(dim) of
+        # headroom for the sum. Otherwise, or when every w_i v_i underflowed,
+        # scale v by its largest entry before weighting (Blue 1978, ACM TOMS
+        # 4(1)). The exponent is not finite for p = inf, whose max neither
+        # over- nor underflows, or for an inf or NaN entry.
+        exponent = self.p * math.log2(m) if m > 0 else -math.inf
+        if m == 0.0 or math.isfinite(exponent) and not (
+                _MIN_EXP < exponent < _MAX_EXP - math.log2(self.dim)):
+            u = v / s if self.weights is None else v / s * self.weights
+            # below the subnormal range a nonzero v keeps a positive norm
+            return max(s * float(np.linalg.norm(u, ord=self.p)), math.ulp(0.0))
+        return float(np.linalg.norm(wv, ord=self.p))
 
 
 def norm_of(space: NormedSpace, v) -> float:
@@ -114,10 +139,9 @@ class Subspace:
     _scaled: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        b = np.atleast_2d(np.array(self.basis, dtype=float))
+        b = np.atleast_2d(_readonly(self.basis))
         if b.shape[0] > b.shape[1]:
             raise RankDeficientBasis("more basis vectors than ambient dimensions")
-        b.setflags(write=False)
         self.basis = b
         if self._orthonormal is None:
             self._orthonormal = orthonormal_rows(b, require_full_rank=True)
@@ -200,8 +224,8 @@ def make_coordinate_chain(space: NormedSpace, n: int) -> SubspaceChain:
         raise ValueError("horizon must be at least 1")
     if n >= space.dim:
         raise HorizonTooLarge(f"horizon {n} needs ambient dimension > {n}")
-    eye = np.eye(space.dim)
-    # identity rows are their own orthonormal frame
+    eye = _readonly(np.eye(space.dim))
+    # identity rows are their own orthonormal frame; every level views one array
     subspaces = [Subspace(eye[:k], eye[:k]) for k in range(1, n + 1)]
     staircase = [eye[k] for k in range(1, n)]
     return SubspaceChain(space, subspaces, staircase)

@@ -35,6 +35,7 @@ from .spaces import (
     NormedSpace,
     Subspace,
     SubspaceChain,
+    _readonly,
 )
 
 SOLVE_TOL = 1e-10          # relative target error the iteration aims for
@@ -88,7 +89,7 @@ def witness_coordinate_exact(d: ErrorSequence, c: float, dim: int) -> Witness:
     vector = np.zeros(dim)
     vector[1:n + 1] = coefficients
     space = NormedSpace(dim, 2.0)
-    eye = np.eye(dim)
+    eye = _readonly(np.eye(dim))
     targets = [(k, c * float(d.values[k - 1])) for k in range(1, n + 1)]
     achieved = [distance(space, vector, Subspace(eye[:k], eye[:k])).value
                 for k in range(1, n + 1)]

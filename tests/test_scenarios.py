@@ -16,6 +16,7 @@ from lethargy_lab import separation
 from lethargy_lab.cli import main
 from lethargy_lab.scenarios import (
     _chebyshev_columns,
+    _tilted_frame,
     bundled_scenarios,
     demo_dense_chain,
     orthogonal_geometric_config,
@@ -64,6 +65,23 @@ def test_analyze_stage_reports_conditions():
     assert conditions["uniform_separation"]["positive"]
     # the geometric checks are informational; span-ratio gates the status
     assert bundle["status"] == "pass"
+
+
+def test_analyze_fails_on_a_sampled_ratio_of_the_profile():
+    # the profile's l^1 ratio at level 2 (a_2 = 0.50004) is below d_2/d_1 = 0.55
+    bases, staircase = _tilted_frame(8, 6, {2: 1.0, 3: 0.5})
+    cfg = {
+        "space": {"dim": 8, "p": 1},
+        "chain": {"type": "bases", "bases": bases, "staircase": staircase},
+        "d": {"kind": "geometric", "ratio": 0.55, "N": 4},
+        "c": 1.0,
+        "estimation": {"sphere_samples": 512},
+    }
+    bundle = run_scenario(cfg, seed=1, stage="analyze")
+    assert bundle["status"] == "condition-failure" and bundle["exit_code"] == 2
+    span = bundle["conditions"]["span_ratio"]
+    assert [f["index"] for f in span["failures"]] == [2]
+    assert span["margin"] < 0
 
 
 def test_plan_stage_stops_before_witness():
@@ -121,6 +139,12 @@ def test_config_validation_paths():
     cfg["c"] = 1.5
     with pytest.raises(ConfigInvalid):
         validate_config(cfg)
+
+    cfg = orthogonal_geometric_config()
+    cfg["estimation"] = {"descent_iters": 10_000}  # removed: nothing read it
+    with pytest.raises(ConfigInvalid) as excinfo:
+        validate_config(cfg)
+    assert excinfo.value.path == "estimation"
 
 
 # Each of these passed the JSON schema, whose bounds are false for NaN, and

@@ -8,6 +8,7 @@ from lethargy_lab import (
     ErrorSequence,
     NormedSpace,
     NotGeometricSequence,
+    SeparationProfile,
     check_geometric_condition,
     check_span_ratio_condition,
     check_uniform_separation,
@@ -176,6 +177,36 @@ def test_span_ratio_condition_certified_failure():
     assert failure.witness is not None
     # the witness violates the inequality: ||q|| > (d_1/d_2) rho(q, Y_2)
     assert failure.lhs > failure.rhs
+
+
+def test_span_ratio_margin_reads_the_profile():
+    # l^1 chain: the ratios are sampled, and the check must use the profile's
+    bases = [np.eye(6)[:k] for k in range(1, 7)]
+    staircase = tilted_chain(6, {2: 1.0, 3: 0.5}).staircase
+    chain = make_chain_from_bases(NormedSpace(6, 1.0), bases, staircase)
+    d = ErrorSequence(0.55 ** np.arange(4))
+    profile = separation_profile(chain, samples=64, seed=1)
+    report = check_span_ratio_condition(chain, d, profile)
+    assert report.margin == min(profile.ratios[k - 1].value - d.values[k - 1] / d.values[k - 2]
+                                for k in range(2, 5))
+    for failure in report.failures:
+        assert failure.witness is profile.ratios[failure.index - 1].witness
+
+    euclidean = tilted_chain(5, {2: 1.0})
+    d = ErrorSequence(np.array([1.0, 0.9, 0.8, 0.5]))
+    ratios = separation_profile(euclidean).ratios
+    assert check_span_ratio_condition(euclidean, d).margin == min(
+        ratios[k - 1].value - d.values[k - 1] / d.values[k - 2] for k in range(2, 5))
+
+
+def test_span_ratio_condition_rejects_foreign_profile():
+    chain = make_coordinate_chain(NormedSpace(6, 2.0), 5)
+    d = ErrorSequence(np.ones(5))
+    with pytest.raises(ValueError):  # no ratios to read
+        check_span_ratio_condition(chain, d, SeparationProfile(np.ones(4), horizon=5))
+    shorter = separation_profile(make_coordinate_chain(NormedSpace(6, 2.0), 4))
+    with pytest.raises(ValueError):  # one ratio per staircase vector
+        check_span_ratio_condition(chain, d, shorter)
 
 
 def test_span_ratio_consistency_with_uniform_separation():

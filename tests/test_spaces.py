@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lethargy_lab import (
@@ -64,6 +64,12 @@ finite_vec = st.lists(
 
 
 @settings(deadline=None, max_examples=60)
+# entries whose p-th powers underflow or overflow: the norm must still scale
+@example(u=[0.0, 0.0, 0.0, 6.03e-214], v=[0.0] * 4, lam=1.0, p=2.0)
+@example(u=[1e-200, 0.0, 0.0, 0.0], v=[0.0] * 4, lam=1.0, p=3.5)
+@example(u=[5e-324, 0.0, 0.0, 0.0], v=[0.0] * 4, lam=0.0, p=1.0)  # 0.5 * u underflows
+@example(u=[1e200, 1e200, 0.0, 0.0], v=[1e200, 1e200, 0.0, 0.0], lam=1.0, p=2.0)
+@example(u=[1e200, 1e200, 0.0, 0.0], v=[1e200, 1e200, 0.0, 0.0], lam=1.0, p=3.5)
 @given(u=finite_vec, v=finite_vec,
        lam=st.floats(min_value=-5, max_value=5),
        p=st.sampled_from([1.0, 2.0, 3.5, math.inf]))
@@ -87,6 +93,15 @@ def test_coordinate_chain_shape():
     assert [sub.dim for sub in chain.subspaces] == [1, 2, 3]
     np.testing.assert_allclose(chain.staircase[0], np.eye(4)[1])
     np.testing.assert_allclose(chain.staircase[1], np.eye(4)[2])
+
+
+def test_coordinate_chain_views_one_identity():
+    chain = make_coordinate_chain(NormedSpace(8, 2.0), 6)
+    eye = chain.subspaces[0].basis.base
+    np.testing.assert_array_equal(eye, np.eye(8))
+    for sub in chain.subspaces:
+        assert np.shares_memory(sub.basis, eye)
+        assert np.shares_memory(sub.orthonormal_basis(), eye)
 
 
 def test_coordinate_chain_horizon_guard():
