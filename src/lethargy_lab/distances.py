@@ -89,27 +89,38 @@ def distance(space: NormedSpace, x, subspace: Subspace) -> DistanceResult:
     return descent_distance(space, x, subspace)
 
 
+def _lp_frame(space: NormedSpace, x, subspace: Subspace, extra: int):
+    """Rows ``+-(w (x - B a))`` shared by both LPs, as equalities in (a+, a-).
+
+    Returns the constraint matrix, whose first 2k columns hold the
+    ``+-(w B)^T`` block and whose ``extra`` columns after it are zero, the
+    right-hand side ``[w x, -w x]``, and the sizes m and k.
+    """
+    w = space.scaling()
+    bt = (subspace.basis * w).T  # columns are scaled basis vectors
+    xw = x * w
+    m, k = bt.shape
+    A = np.zeros((2 * m, 2 * k + extra))
+    A[:m, :k] = bt
+    A[:m, k:2 * k] = -bt
+    A[m:, :k] = -bt
+    A[m:, k:2 * k] = bt
+    return A, np.concatenate([xw, -xw]), m, k
+
+
 def _lp_infinity(space: NormedSpace, x, subspace: Subspace):
     """min t  s.t.  |w (x - B a)|_i <= t, as equalities with surplus vars.
 
     Variables (a+, a-, t, s): the all-slack point a = 0, t = max |w x|
     yields a feasible starting basis, so no phase-1 is needed.
     """
-    bt = (subspace.basis * space.scaling()).T  # columns are scaled basis vectors
-    xw = x * space.scaling()
-    m, k = bt.shape
-    ncols = 2 * k + 1 + 2 * m
-    A = np.zeros((2 * m, ncols))
-    A[:m, :k] = bt
-    A[:m, k:2 * k] = -bt
-    A[m:, :k] = -bt
-    A[m:, k:2 * k] = bt
+    A, rhs, m, k = _lp_frame(space, x, subspace, 1 + 2 * space.dim)
+    rows = np.arange(2 * m)
     A[:, 2 * k] = 1.0
-    A[np.arange(2 * m), 2 * k + 1 + np.arange(2 * m)] = -1.0
-    rhs = np.concatenate([xw, -xw])
-    c = np.zeros(ncols)
+    A[rows, 2 * k + 1 + rows] = -1.0
+    c = np.zeros(A.shape[1])
     c[2 * k] = 1.0
-    basis = 2 * k + 1 + np.arange(2 * m)
+    basis = 2 * k + 1 + rows
     basis[int(np.argmax(rhs))] = 2 * k  # t enters at the binding row
     return c, A, rhs, basis, k
 
@@ -120,29 +131,14 @@ def _lp_one(space: NormedSpace, x, subspace: Subspace):
     For each coordinate the tight side holds s_i and the loose side holds
     its own surplus, giving a feasible starting basis directly.
     """
-    bt = (subspace.basis * space.scaling()).T
-    xw = x * space.scaling()
-    m, k = bt.shape
-    ncols = 2 * k + m + 2 * m
-    A = np.zeros((2 * m, ncols))
-    A[:m, :k] = bt
-    A[:m, k:2 * k] = -bt
-    A[m:, :k] = -bt
-    A[m:, k:2 * k] = bt
-    A[np.arange(m), 2 * k + np.arange(m)] = 1.0
-    A[m + np.arange(m), 2 * k + np.arange(m)] = 1.0
-    A[np.arange(2 * m), 2 * k + m + np.arange(2 * m)] = -1.0
-    rhs = np.concatenate([xw, -xw])
-    c = np.zeros(ncols)
+    A, rhs, m, k = _lp_frame(space, x, subspace, 3 * space.dim)
+    rows = np.arange(2 * m)
+    A[rows, 2 * k + rows % m] = 1.0
+    A[rows, 2 * k + m + rows] = -1.0
+    c = np.zeros(A.shape[1])
     c[2 * k:2 * k + m] = 1.0
-    basis = np.empty(2 * m, dtype=int)
-    for i in range(m):
-        if xw[i] >= 0:
-            basis[i] = 2 * k + i            # s_i tight on the + row
-            basis[m + i] = 2 * k + 2 * m + i
-        else:
-            basis[m + i] = 2 * k + i        # s_i tight on the - row
-            basis[i] = 2 * k + m + i
+    plus = rhs[:m] >= 0  # s_i is basic on its tight row, surplus on the other
+    basis = np.where(np.concatenate([plus, ~plus]), 2 * k + rows % m, 2 * k + m + rows)
     return c, A, rhs, basis, k
 
 

@@ -26,7 +26,6 @@ from .errors import (
     DimensionMismatch,
     HorizonTooLarge,
     NoProgress,
-    NotNonIncreasing,
     RankDeficientBasis,
     TargetsNotMonotonic,
 )
@@ -80,11 +79,13 @@ def witness_coordinate_exact(d: ErrorSequence, c: float, dim: int) -> Witness:
         raise HorizonTooLarge(f"need ambient dimension > {n}, got {dim}")
     if not (0 < c <= 1):
         raise ValueError("c must lie in (0, 1]")
-    padded = np.append(d.values, 0.0)
-    radicand = padded[:-1] ** 2 - padded[1:] ** 2
-    if radicand.min() < -1e-15:
-        raise NotNonIncreasing("negative radicand: d must be non-increasing")
-    coefficients = c * np.sqrt(np.maximum(radicand, 0.0))
+    # c * sqrt(d_k^2 - d_{k+1}^2), written as c * d_k * sqrt((1 - r)(1 + r))
+    # with r = d_{k+1} / d_k (0 after the last term), so tiny d_k do not
+    # underflow when squared; ErrorSequence guarantees 0 <= r <= 1
+    values = d.values
+    r = np.zeros_like(values)
+    np.divide(values[1:], values[:-1], out=r[:-1], where=values[:-1] > 0)
+    coefficients = c * values * np.sqrt((1.0 - r) * (1.0 + r))
 
     vector = np.zeros(dim)
     vector[1:n + 1] = coefficients

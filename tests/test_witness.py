@@ -57,6 +57,16 @@ def test_trailing_zeros_zero_out_late_coefficients():
     np.testing.assert_allclose(wit.achieved, [1.0, 0.5, 0.0, 0.0], atol=1e-12)
 
 
+def test_tiny_d_keeps_every_coefficient():
+    # d_n = 0.5^(n-1) reaches 1.7e-180 at n = 600, where d_n^2 underflows;
+    # each achieved distance must still hit its target to a relative 1e-12
+    d = ErrorSequence(0.5 ** np.arange(600))
+    wit = witness_coordinate_exact(d, 1.0, dim=610)
+    assert np.all(wit.coefficients > 0)
+    targets = np.array([t for _, t in wit.targets])
+    np.testing.assert_allclose(wit.achieved, targets, rtol=1e-12, atol=0)
+
+
 def test_achieved_match_independent_recomputation():
     d = ErrorSequence(np.array([0.9, 0.6, 0.3, 0.05]))
     wit = witness_coordinate_exact(d, 0.5, dim=6)
