@@ -10,7 +10,7 @@ force serves as the testing oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,8 @@ class DistanceResult:
 
     ``certified`` is True only for the projection and simplex paths, where
     the value equals the infimum up to roundoff; the descent path has
-    upper-bound semantics.
+    upper-bound semantics. ``basis`` is the simplex path's optimal LP basis,
+    a warm start for the next LP with the same subspace (not serialized).
     """
 
     value: float
@@ -43,6 +44,7 @@ class DistanceResult:
     certified: bool
     iterations: int = 0
     converged: bool = True
+    basis: np.ndarray | None = field(default=None, repr=False)
 
     def as_dict(self) -> dict:
         return {
@@ -78,14 +80,18 @@ def project_euclidean(x, subspace: Subspace, weights=None) -> np.ndarray:
     return (((x * w) @ onb.T) @ onb) / w
 
 
-def distance(space: NormedSpace, x, subspace: Subspace) -> DistanceResult:
-    """rho(x, Y) in the space's norm, dispatching on p."""
+def distance(space: NormedSpace, x, subspace: Subspace, warm=None) -> DistanceResult:
+    """rho(x, Y) in the space's norm, dispatching on p.
+
+    ``warm`` is an LP basis from an earlier result for the same space and
+    subspace; only the LP path (p in {1, inf}) uses it.
+    """
     x = _check_dims(space, x, subspace)
     if space.p == 2.0:
         y = project_euclidean(x, subspace, space.weights)
         return DistanceResult(space.norm_of(x - y), y, "projection", True)
     if space.p == 1.0 or space.p == math.inf:
-        return distance_lp(space, x, subspace)
+        return distance_lp(space, x, subspace, warm)
     return descent_distance(space, x, subspace)
 
 
@@ -142,8 +148,13 @@ def _lp_one(space: NormedSpace, x, subspace: Subspace):
     return c, A, rhs, basis, k
 
 
-def distance_lp(space: NormedSpace, x, subspace: Subspace) -> DistanceResult:
-    """LP path for p in {1, inf}; falls back to descent on a cycle guard."""
+def distance_lp(space: NormedSpace, x, subspace: Subspace, warm=None) -> DistanceResult:
+    """LP path for p in {1, inf}; falls back to descent on a cycle guard.
+
+    The LP's ``c`` and ``A`` depend only on the space and the subspace, so
+    the ``basis`` of an earlier result on the same pair is a valid ``warm``
+    start for :func:`solve_from_basis`; x only moves the right-hand side.
+    """
     x = _check_dims(space, x, subspace)
     if space.p == math.inf:
         c, A, rhs, basis, k = _lp_infinity(space, x, subspace)
@@ -152,7 +163,7 @@ def distance_lp(space: NormedSpace, x, subspace: Subspace) -> DistanceResult:
     else:
         raise ValueError("distance_lp requires p = 1 or p = inf")
     try:
-        res = solve_from_basis(c, A, rhs, basis)
+        res = solve_from_basis(c, A, rhs, basis, warm=warm)
     except SimplexCycleGuard:
         return descent_distance(space, x, subspace)
     if res.status != "optimal":
@@ -160,7 +171,7 @@ def distance_lp(space: NormedSpace, x, subspace: Subspace) -> DistanceResult:
     alpha = res.x[:k] - res.x[k:2 * k]
     y = alpha @ subspace.basis
     return DistanceResult(space.norm_of(x - y), y, "simplex", True,
-                          iterations=res.iterations)
+                          iterations=res.iterations, basis=res.basis)
 
 
 def _euclidean_coefficients(space: NormedSpace, x, subspace: Subspace) -> np.ndarray:

@@ -30,7 +30,7 @@ from .errors import (
 from .separation import SeparationProfile
 from .spaces import ErrorSequence
 
-STEP_SLACK = 1e-12
+STEP_SLACK = 1e-12  # relative to a e_j
 
 
 @dataclass
@@ -211,7 +211,8 @@ def verify_step_inequality(
     steps: StepSequence,
     profile: SeparationProfile,
 ) -> list[StepCheck]:
-    """Check the contraction e_{j+1} <= a_{z_{j+1}} e_j (within 1e-12) per j.
+    """Check the contraction e_{j+1} <= a_{z_{j+1}} e_j (within a relative
+    1e-12) per j.
 
     Each j is labeled with which construction case applies when anchor flags
     are available: 1 = middle followed by an anchor, 2 = anchor followed by a
@@ -228,7 +229,7 @@ def verify_step_inequality(
             after = steps.anchor_flags[idx + 1]
             case = 1 if not here else (2 if not after else 3)
         checks.append(StepCheck(idx + 1, case, lhs, rhs, rhs - lhs,
-                                lhs <= rhs + STEP_SLACK))
+                                lhs <= rhs * (1 + STEP_SLACK)))
     return checks
 
 

@@ -2,11 +2,12 @@
 
 For a witness x built against errors d at scale c, every reported row checks
 
-    c d_n - tol  <=  rho(x, Y_n)  <=  min(4, a~) c d_n + tol
+    c d_n (1 - tol)  <=  rho(x, Y_n)  <=  min(4, a~) c d_n (1 + tol)
 
-with a~ the finite-family upper constant. The konyagin_upper column lists
-the classical factor-8 guarantee 8 d_n for scale comparison only: that bound
-belongs to a different witness construction, so no row asserts it for x.
+with a~ the finite-family upper constant. The tolerance is relative, so a
+row keeps its meaning when c d_n is far below 1. The konyagin_upper column
+lists the classical factor-8 guarantee 8 d_n for scale comparison only: that
+bound belongs to a different witness construction, so no row asserts it for x.
 """
 
 from __future__ import annotations
@@ -114,8 +115,8 @@ def sandwich_check(
     Beyond it the witness has no mass outside Y_n, so a row there would be
     vacuously violated rather than meaningful; the truncation is recorded.
     With a plan and a certified profile the construction's intermediate
-    inequalities at non-anchor rows are checked too, with the witness's own
-    residual added to the slack.
+    inequalities at non-anchor rows are checked too; their slack, ``tol``
+    plus the witness's own residual, is relative to the compared bound.
     """
     if witness.vector.shape != (chain.space.dim,):
         raise MismatchedInputs("witness and chain live in different spaces")
@@ -138,7 +139,7 @@ def sandwich_check(
         lower = c * d_n
         upper = upper_factor * c * d_n
         konyagin = 8.0 * d_n
-        passed = (lower - tol <= achieved) and (achieved <= upper + tol)
+        passed = (lower * (1 - tol) <= achieved) and (achieved <= upper * (1 + tol))
         rows.append(SandwichRow(n, d_n, lower, achieved, upper, konyagin, passed))
 
     intermediate: list[IntermediateCheck] = []
@@ -155,7 +156,7 @@ def sandwich_check(
             d_anchor = float(d.values[anchors[below] - 1])
             intermediate.append(IntermediateCheck(
                 n, "lower-route", c * d_anchor, row.achieved,
-                row.achieved >= c * d_anchor - slack,
+                row.achieved >= c * d_anchor * (1 - slack),
             ))
             if profile is not None and profile.certified:
                 edge = anchors[below + 1] - 1
@@ -163,7 +164,7 @@ def sandwich_check(
                 bound = c / a_val ** 3 * row.d_n
                 intermediate.append(IntermediateCheck(
                     n, "upper-route", row.achieved, bound,
-                    row.achieved <= bound + slack,
+                    row.achieved <= bound * (1 + slack),
                 ))
 
     notes = [

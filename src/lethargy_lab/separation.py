@@ -74,12 +74,27 @@ def _sampled_ratio(
     seed_material,
     refine: bool,
 ) -> RatioValue:
+    """Smallest sampled rho(q, target) / ||q|| over unit q in the span.
+
+    Seeded Sobol directions on the span's sphere, then Nelder-Mead from the
+    best one when ``refine`` is set. Every LP on this level shares ``c``
+    and ``A`` (only x moves the right-hand side), so each distance solve
+    warm-starts from the previous solve's optimal basis; the simplex uses
+    that basis only where it is still feasible, and the optimum does not
+    depend on the start. The result is an estimate with upper-bound
+    semantics.
+    """
     frame = orthonormal_rows(span_rows)
     k = frame.shape[0]
     dirs = _sphere_directions(k, samples, seed_material)
 
+    warm = None  # the last LP basis on this level: each LP starts from it
+
     def ratio_of(q: np.ndarray) -> float:
-        return distance(space, q, target).value / space.norm_of(q)
+        nonlocal warm
+        result = distance(space, q, target, warm)
+        warm = result.basis
+        return result.value / space.norm_of(q)
 
     if space.p == 2.0 and not space.weighted:
         onb = target.orthonormal_basis()

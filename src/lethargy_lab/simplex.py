@@ -54,14 +54,15 @@ def _unit_columns(A):
     return np.where(unit, rows, -1), entry
 
 
-def _refactor(Ab, basis, cols, unit_row, unit_sign):
+def _refactor(Ab, basis, cols, unit_row, unit_sign, floor=-1e-7):
     """``B^-1 Ab[:, cols]`` for ``B = A[:, basis]``, where ``Ab = [A | b]`` and
     ``cols`` lists the nonbasic columns and then b's: the tableau with the
     basic solution as its last column.
 
     A basic unit column on row i fixes its variable from row i once the
     others are known, so only the block of the other basic columns on the
-    uncovered rows needs an LU solve.
+    uncovered rows needs an LU solve. A basic solution with an entry below
+    ``floor`` counts as infeasible; the rest is clamped at 0.
     """
     rows = unit_row[basis]
     is_unit = rows >= 0
@@ -81,7 +82,7 @@ def _refactor(Ab, basis, cols, unit_row, unit_sign):
     z[is_unit] = unit_sign[basis[is_unit], None] * (
         rhs_all[covered] - struct[covered] @ z_struct)
     rhs = z[:, -1]
-    if rhs.min() < -1e-7:
+    if rhs.min() < floor:
         raise SimplexCycleGuard("basis went infeasible during refactorization")
     np.maximum(rhs, 0.0, out=rhs)
     return z, rhs
@@ -93,12 +94,29 @@ def _solution(c, basis, rhs, iterations, status):
     return SimplexResult(x, float(c @ x), iterations, status, basis)
 
 
+def _split(basis, m, n):
+    """The basis as a fresh int array and the nonbasic columns, ascending;
+    ValueError unless it lists m distinct columns of the n."""
+    basis = np.array(basis, dtype=int)
+    if basis.shape != (m,):
+        raise ValueError(f"basis must list {m} columns")
+    if m and not (0 <= basis.min() and basis.max() < n):
+        raise ValueError(f"basis columns must lie in 0..{n - 1}")
+    is_basic = np.zeros(n, dtype=bool)
+    is_basic[basis] = True
+    nonbasic = np.flatnonzero(~is_basic)
+    if nonbasic.size != n - m:
+        raise ValueError(f"basis must list {m} distinct columns of {n}")
+    return basis, nonbasic
+
+
 def solve_from_basis(
     c,
     A,
     b,
     basis,
     max_iter: int | None = None,
+    warm=None,
 ) -> SimplexResult:
     """Run phase-2 simplex from a feasible starting basis.
 
@@ -106,30 +124,43 @@ def solve_from_basis(
     both are checked. Raises SimplexCycleGuard when the iteration cap is hit
     (carrying the best basic solution found so far) or when roundoff drives
     the basis singular or infeasible.
+
+    ``warm`` optionally names another basis to start from, typically the
+    optimal basis of an earlier solve with the same ``c`` and ``A`` and a
+    different ``b``: that basis stays dual feasible, so when it is still
+    primal feasible few pivots remain (re-optimization after a change in
+    b, Chvatal 1983, ch. 10). It is used only if its fresh factorization is
+    nonsingular and every entry of its basic solution is >= 0 before any
+    clamping; otherwise the solve starts from ``basis``. A malformed
+    ``warm`` (wrong length, a repeated or out-of-range column) raises
+    ValueError.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     m, n = A.shape
-    basis = np.array(basis, dtype=int)
-    if basis.shape != (m,):
-        raise ValueError(f"basis must list {m} columns")
-    is_basic = np.zeros(n, dtype=bool)
-    is_basic[basis] = True
-    nonbasic = np.flatnonzero(~is_basic)
-    if nonbasic.size != n - m:
-        raise ValueError(f"basis must list {m} distinct columns of {n}")
+    basis, nonbasic = _split(basis, m, n)
     if max_iter is None:
         max_iter = 50 * (m + n)
 
     unit_row, unit_sign = _unit_columns(A)
     Ab = np.column_stack([A, b])
-    cols = np.append(nonbasic, n)
+    tableau = None
+    if warm is not None:
+        warm, warm_nonbasic = _split(warm, m, n)
+        cols = np.append(warm_nonbasic, n)
+        try:
+            tableau, rhs = _refactor(Ab, warm, cols, unit_row, unit_sign, floor=0.0)
+            basis = warm
+        except SimplexCycleGuard:
+            pass  # not a feasible start: begin from the cold basis
+    if tableau is None:
+        cols = np.append(nonbasic, n)
+        try:  # rhs is a view of the tableau's last column
+            tableau, rhs = _refactor(Ab, basis, cols, unit_row, unit_sign)
+        except SimplexCycleGuard:
+            raise ValueError("starting basis is infeasible") from None
     nonbasic = cols[:-1]  # a view: exchanges write through to cols
-    try:  # rhs is a view of the tableau's last column
-        tableau, rhs = _refactor(Ab, basis, cols, unit_row, unit_sign)
-    except SimplexCycleGuard:
-        raise ValueError("starting basis is infeasible") from None
     fresh = True
     bland_mode = False
     stall = 0

@@ -153,6 +153,17 @@ def test_verify_step_inequality_hand_built():
     assert checks[0].case is None  # no anchor structure supplied
 
 
+def test_step_slack_scales_with_the_targets():
+    # the same contraction and the same violation by 1e-6 relative, at the
+    # scale of 1 and of 1e-20: both fail
+    profile = SeparationProfile(np.array([0.8, 0.8, 0.9]), horizon=4)
+    for scale in (1.0, 1e-20):
+        steps = StepSequence(e=[scale, 0.8 * scale * (1 + 1e-6)], z=[1, 2], c=1.0)
+        assert not verify_step_inequality(steps, profile)[0].passed
+        steps = StepSequence(e=[scale, 0.8 * scale], z=[1, 2], c=1.0)
+        assert verify_step_inequality(steps, profile)[0].passed
+
+
 def test_tilde_a_values():
     d = ErrorSequence.geometric(0.5, 6)
     profile = flat_profile(6)

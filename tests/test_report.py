@@ -106,3 +106,24 @@ def test_csv_round_trip(tmp_path):
     for row, rec in zip(report.rows, parsed):
         assert rec["achieved"] == row.achieved  # repr round-trips exactly
         assert rec["pass"] is True
+
+
+def test_rows_fail_where_the_witness_tail_vanishes():
+    # exact coordinate witness for d = 0.5^n, N = 40, truncated after the
+    # 30th coefficient: rho(x, Y_n) = c d_n up to n = 30 and 0 from n = 31,
+    # where c d_n < 1e-9 is below any absolute tolerance
+    n, dim, c = 40, 42, 1.0
+    space = NormedSpace(dim, 2.0)
+    chain = make_coordinate_chain(space, dim - 1)
+    d = ErrorSequence.geometric(0.5, n, first=0.5)
+    wit = witness_coordinate_exact(d, c, dim)
+    vector = wit.vector.copy()
+    vector[30] = c * d.values[29]  # carries the whole tail from Y_30 on
+    vector[31:] = 0.0
+    profile = separation_profile(chain)
+    tilde = compute_tilde_a([(build_index_plan(d, profile), profile)])
+    report = sandwich_check(dataclasses.replace(wit, vector=vector),
+                            chain, d, c, tilde)
+    assert [row.n for row in report.rows if not row.passed] == list(range(31, 41))
+    assert all(row.achieved == 0.0 for row in report.rows[30:])
+    assert not report.overall_passed

@@ -240,3 +240,38 @@ def test_sampled_path_for_non_euclidean_norm():
     assert r.method == "sampled-descent"
     assert not r.certified
     assert 0 < r.value <= 1.0 + 1e-12
+
+
+def test_sampled_lps_warm_start_without_changing_values(monkeypatch):
+    # l^1 chain: each LP on a level warm-starts from the last optimal basis
+    from lethargy_lab import distances
+    from lethargy_lab.distances import distance
+
+    bases = [np.eye(8)[:k] for k in range(1, 7)]
+    staircase = tilted_chain(8, {1: 1.0}).staircase[:5]
+    chain = make_chain_from_bases(NormedSpace(8, 1.0), bases, staircase)
+    solve = distances.solve_from_basis
+
+    def profile_and_pivots(drop_warm):
+        pivots = []
+
+        def counted(*args, **kwargs):
+            if drop_warm:
+                kwargs.pop("warm", None)
+            res = solve(*args, **kwargs)
+            pivots.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(distances, "solve_from_basis", counted)
+        profile = separation_profile(chain, samples=16, seed=1)
+        monkeypatch.setattr(distances, "solve_from_basis", solve)
+        return profile, sum(pivots)
+
+    warm, warm_pivots = profile_and_pivots(drop_warm=False)
+    cold, cold_pivots = profile_and_pivots(drop_warm=True)
+    np.testing.assert_array_equal(cold.a, warm.a)
+    assert cold_pivots >= 3 * warm_pivots
+    for target, ratio in zip(chain.subspaces, warm.ratios):
+        q = ratio.witness
+        value = distance(chain.space, q, target).value / chain.space.norm_of(q)
+        assert ratio.value == pytest.approx(value, rel=1e-12)

@@ -92,12 +92,9 @@ def test_degenerate_ties_terminate():
     assert res.objective == pytest.approx(0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("seed", range(8))
-@pytest.mark.parametrize("p", [1.0, math.inf])
-def test_distance_lps_match_highs(seed, p):
-    # the LPs the distance path builds, up to 2m = 130 rows, against HiGHS
-    from scipy.optimize import linprog
-
+def _distance_lp(seed, p):
+    """A distance LP as the distance path builds it, up to 2m = 130 rows,
+    with its builder and inputs."""
     rng = np.random.default_rng(seed)
     m = 65 if seed < 2 else int(rng.integers(2, 65))
     k = int(rng.integers(1, min(m, 14)))
@@ -106,10 +103,84 @@ def test_distance_lps_match_highs(seed, p):
     subspace = Subspace(rng.normal(size=(k, m)))
     x = rng.normal(size=m)
     build = _lp_one if p == 1.0 else _lp_infinity
+    return build, space, subspace, x, rng
+
+
+def _highs(c, A, rhs):
+    from scipy.optimize import linprog
+
+    ref = linprog(c, A_eq=A, b_eq=rhs, bounds=(0, None), method="highs")
+    assert ref.status == 0
+    return ref.fun
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_distance_lps_match_highs(seed, p):
+    build, space, subspace, x, _ = _distance_lp(seed, p)
     c, A, rhs, basis, _ = build(space, x, subspace)
     res = solve_from_basis(c, A, rhs, basis)
-    ref = linprog(c, A_eq=A, b_eq=rhs, bounds=(0, None), method="highs")
-    assert res.status == "optimal" and ref.status == 0
-    assert res.objective == pytest.approx(ref.fun, rel=1e-9)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(_highs(c, A, rhs), rel=1e-9)
     np.testing.assert_allclose(A @ res.x, rhs, atol=1e-9 * max(1.0, np.abs(rhs).max()))
     assert res.x.min() >= 0.0
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_warm_start_from_a_perturbed_optimum(seed, p):
+    # the optimal basis for a nearby x: optimal again, or the cold start
+    build, space, subspace, x, rng = _distance_lp(seed, p)
+    near = x + 1e-3 * rng.normal(size=x.size)
+    warm = solve_from_basis(*build(space, near, subspace)[:4]).basis
+    c, A, rhs, basis, _ = build(space, x, subspace)
+    cold = solve_from_basis(c, A, rhs, basis)
+    res = solve_from_basis(c, A, rhs, basis, warm=warm)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(_highs(c, A, rhs), rel=1e-9)
+    assert res.iterations <= cold.iterations
+    assert res.x.min() >= 0.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_warm_start_at_the_optimum_makes_no_pivot(seed, p):
+    # a right-hand side for which the optimal basis of the distance LP has
+    # a strictly positive basic solution; its reduced costs do not depend on
+    # the right-hand side, so it is optimal there as it stands. (At the
+    # distance LP's own rhs the optimum is degenerate and a fresh
+    # factorization may put -1e-16 on a zero entry, which a warm start
+    # refuses.)
+    build, space, subspace, x, rng = _distance_lp(seed, p)
+    c, A, rhs, basis, _ = build(space, x, subspace)
+    optimal = solve_from_basis(c, A, rhs, basis).basis
+    rhs = A[:, optimal] @ rng.uniform(0.5, 1.5, optimal.size)
+    res = solve_from_basis(c, A, rhs, basis, warm=optimal)
+    assert res.status == "optimal"
+    assert res.iterations == 0
+    np.testing.assert_array_equal(np.sort(res.basis), np.sort(optimal))
+    assert res.objective == pytest.approx(_highs(c, A, rhs), rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_infeasible_warm_start_is_the_cold_solve(seed, p):
+    # the start basis built for -x puts a negative entry in B^-1 b
+    build, space, subspace, x, _ = _distance_lp(seed, p)
+    c, A, rhs, basis, _ = build(space, x, subspace)
+    warm = build(space, -x, subspace)[3]
+    assert np.linalg.solve(A[:, warm], rhs).min() < 0.0
+    cold = solve_from_basis(c, A, rhs, basis)
+    res = solve_from_basis(c, A, rhs, basis, warm=warm)
+    np.testing.assert_array_equal(res.x, cold.x)
+    assert res.iterations == cold.iterations
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_malformed_warm_basis_rejected(p):
+    build, space, subspace, x, _ = _distance_lp(3, p)
+    c, A, rhs, basis, _ = build(space, x, subspace)
+    for warm in (basis[:-1], np.append(basis, basis[0]),
+                 np.append(basis[:-1], basis[0]), np.append(basis[:-1], A.shape[1])):
+        with pytest.raises(ValueError):
+            solve_from_basis(c, A, rhs, basis, warm=warm)
