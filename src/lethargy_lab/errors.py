@@ -70,7 +70,7 @@ class NotNonIncreasing(LethargyLabError):
 
 
 class NoProgress(LethargyLabError):
-    """The damped witness iteration stagnated above tolerance."""
+    """The witness anchor equations have no real root."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)

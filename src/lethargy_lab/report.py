@@ -116,7 +116,8 @@ def sandwich_check(
     vacuously violated rather than meaningful; the truncation is recorded.
     With a plan and a certified profile the construction's intermediate
     inequalities at non-anchor rows are checked too; their slack, ``tol``
-    plus the witness's own residual, is relative to the compared bound.
+    plus the witness's largest relative miss of a positive target, is
+    relative to the compared bound.
     """
     if witness.vector.shape != (chain.space.dim,):
         raise MismatchedInputs("witness and chain live in different spaces")
@@ -144,7 +145,9 @@ def sandwich_check(
 
     intermediate: list[IntermediateCheck] = []
     if plan is not None and not plan.stalled:
-        slack = tol + witness.residual
+        slack = tol + max((abs(a - e) / e for a, (_, e)
+                           in zip(witness.achieved, witness.targets) if e > 0),
+                          default=0.0)
         anchors = plan.anchors
         for row in rows:
             n = row.n

@@ -5,13 +5,13 @@ Two builders under the Euclidean norm:
 * ``witness_coordinate_exact``: on the coordinate chain the distances
   telescope, so coefficients c * sqrt(d_k^2 - d_{k+1}^2) on q_k = e_{k+1}
   achieve rho(x, Y_k) = c d_k exactly.
-* ``witness_solve``: on a general chain the anchor equations are solved by a
-  damped multiplicative iteration in the orthonormalized staircase frame;
-  the telescoping coefficients seed the iteration and each sweep rescales
-  the coefficient block supported outside Z_j by (target/achieved)^(1/2).
-  On orthogonal chains the seed is already exact; elsewhere convergence is
-  not guaranteed and the residual plus a converged flag keep the estimator
-  semantics honest.
+* ``witness_solve``: on a general chain x = sum_j g_j f_{z_j} in the
+  orthonormalized staircase frame f. Since f_{z_i} lies in Y_{z_j} for
+  i < j, rho(x, Y_{z_j}) depends only on g_j..g_J, and each anchor equation
+  is a scalar quadratic in g_j, solved from the last anchor down in
+  e_j-relative units. On orthogonal chains this is the telescoping rule;
+  when some quadratic has no real root the targets are infeasible in this
+  family and NoProgress carries the clamped witness.
 """
 
 from __future__ import annotations
@@ -37,13 +37,6 @@ from .spaces import (
     _readonly,
 )
 
-SOLVE_TOL = 1e-10          # relative target error the iteration aims for
-SOLVE_ACCEPT = 1e-8        # relative error below which a witness counts as converged
-MAX_SWEEPS = 500
-STALL_SWEEPS = 50
-DAMPING = 0.5
-
-
 @dataclass
 class Witness:
     """Element x = sum_k coefficients[k] q_k with its achieved distances."""
@@ -53,7 +46,7 @@ class Witness:
     targets: list[tuple[int, float]]
     achieved: list[float]
     residual: float  # max |achieved - target| over the targets
-    method: str  # "telescoping-exact" | "damped-iteration"
+    method: str  # "telescoping-exact" | "anchor-recurrence"
     converged: bool = True
 
     def as_dict(self) -> dict:
@@ -117,15 +110,15 @@ def _staircase_frame(chain: SubspaceChain) -> tuple[np.ndarray, np.ndarray, np.n
 def witness_solve(
     chain: SubspaceChain,
     targets: list[tuple[int, float]],
-    tol: float = SOLVE_TOL,
-    max_sweeps: int = MAX_SWEEPS,
 ) -> Witness:
-    """Damped iteration achieving rho(x, Y_{z_j}) = e_j on a Euclidean chain.
+    """Exact x = sum_j g_j f_{z_j} with rho(x, Y_{z_j}) = e_j on a Euclidean chain.
 
     Targets must be strictly positive, non-increasing, with strictly
-    increasing subspace indices no larger than the staircase count. Raises
-    NoProgress (with the best partial witness attached) when the residual
-    stagnates above the acceptance threshold for 50 consecutive sweeps.
+    increasing subspace indices no larger than the staircase count. The
+    anchor equations are triangular in the staircase frame f, so g_j is a
+    root of one scalar quadratic per anchor, taken from the last anchor
+    down. Raises NoProgress (with the witness of the clamped pass attached)
+    when some anchor equation has no real root.
     """
     if chain.space.p != 2.0:
         raise ValueError("witness construction requires the Euclidean norm")
@@ -142,55 +135,42 @@ def witness_solve(
         raise TargetsNotMonotonic("targets must be positive and non-increasing")
 
     frame, rmat, w = _staircase_frame(chain)
-    J = len(z)
-    # per-target residual maps: achieved_j = || A_j @ gamma[tail_j] ||
-    tails = [zj - 1 for zj in z]
-    maps = []
-    for j in range(J):
-        onb = chain.subspaces[z[j] - 1].orthonormal_basis(chain.space.weights)
-        block = frame[:, tails[j]:]
-        maps.append(block - onb.T @ (onb @ block))
-
-    def achieved_of(gamma: np.ndarray, j: int) -> float:
-        return float(np.linalg.norm(maps[j] @ gamma[tails[j]:]))
-
+    onbs = [chain.subspaces[zj - 1].orthonormal_basis(chain.space.weights)
+            for zj in z]
     gamma = np.zeros(K)
-    padded = np.append(e, 0.0)
-    for j in range(J):
-        gamma[tails[j]] = math.sqrt(max(padded[j] ** 2 - padded[j + 1] ** 2, 0.0))
-
-    best_gamma = gamma.copy()
-    best_residual = math.inf
-    stall = 0
-    converged = False
-    for _ in range(max_sweeps):
-        for j in range(J - 1, -1, -1):
-            ach = achieved_of(gamma, j)
-            if ach <= 1e-300:
-                gamma[tails[j]] += e[j]
-                continue
-            gamma[tails[j]:] *= (e[j] / ach) ** DAMPING
-        rel = max(abs(achieved_of(gamma, j) - e[j]) / e[j] for j in range(J))
-        if rel < best_residual * (1 - 1e-6):
-            best_residual = rel
-            best_gamma = gamma.copy()
-            stall = 0
+    tail = np.zeros(chain.space.dim)  # T = sum_{i > j} g_i f_{z_i}
+    failure = None
+    for j in range(len(z) - 1, -1, -1):
+        # P-perp x = g_j p + (P_{j+1} - P_j) T + P-perp_{j+1} T; the three
+        # parts are orthogonal and the last has norm e_{j+1}
+        onb = onbs[j]
+        f = frame[:, z[j] - 1]
+        p = f - onb.T @ (onb @ f)
+        p_norm = float(np.linalg.norm(p))
+        p_hat = p / p_norm
+        if j + 1 < len(z):
+            r = e[j + 1] / e[j]
+            above = onbs[j + 1]
+            u = (above.T @ (above @ tail) - onb.T @ (onb @ tail)) / e[j]
         else:
-            stall += 1
-        if rel < tol:
-            best_residual = rel
-            best_gamma = gamma.copy()
-            converged = True
-            break
-        if stall >= STALL_SWEEPS and best_residual > SOLVE_ACCEPT:
-            partial = _assemble(chain, best_gamma, rmat, frame, w, targets,
-                                converged=False)
-            raise NoProgress(
-                f"residual stagnated at {best_residual:.3e} for {STALL_SWEEPS} sweeps",
-                witness=partial,
-            )
-    return _assemble(chain, best_gamma, rmat, frame, w, targets,
-                     converged=converged or best_residual < SOLVE_ACCEPT)
+            r = 0.0
+            u = np.zeros_like(p)
+        mu = float(p_hat @ u)
+        nu2 = float(np.sum((u - mu * p_hat) ** 2))
+        room = (1.0 - r) * (1.0 + r) - nu2
+        if room < -8 * np.finfo(float).eps * (1.0 + float(u @ u)) and failure is None:
+            failure = (j, -room)
+        gamma[z[j] - 1] = e[j] * (math.sqrt(max(room, 0.0)) - mu) / p_norm
+        tail += gamma[z[j] - 1] * f
+    if failure is not None:
+        j, short = failure
+        partial = _assemble(chain, gamma, rmat, frame, w, targets, converged=False)
+        raise NoProgress(
+            f"anchor {j + 1} (Y_{z[j]}) has no real root: its quadratic falls "
+            f"short by {short:.3e} relative to the squared target",
+            witness=partial,
+        )
+    return _assemble(chain, gamma, rmat, frame, w, targets, converged=True)
 
 
 def _assemble(chain, gamma, rmat, frame, w, targets, converged) -> Witness:
@@ -204,7 +184,7 @@ def _assemble(chain, gamma, rmat, frame, w, targets, converged) -> Witness:
     ]
     residual = max(abs(a - ej) for (_, ej), a in zip(targets, achieved))
     return Witness(coefficients, vector, list(targets), achieved, residual,
-                   "damped-iteration", converged)
+                   "anchor-recurrence", converged)
 
 
 def achieved_distances(witness: Witness, chain: SubspaceChain) -> np.ndarray:

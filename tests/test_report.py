@@ -79,6 +79,31 @@ def test_intermediate_checks_cover_non_anchor_rows():
     assert all(ch.passed for ch in report.intermediate)
 
 
+def test_intermediate_slack_is_relative_to_the_targets():
+    # the setup above with d scaled by 1e8: the witness misses its targets by
+    # an absolute 1.5e-8 but a relative 1e-16, so a lower route 5e-9 short
+    # must fail; rows n >= 3 and hence the sandwich itself stay intact
+    from lethargy_lab import SeparationProfile, witness_solve
+
+    space = NormedSpace(8, 2.0)
+    chain = make_coordinate_chain(space, 7)
+    d = ErrorSequence(1e8 * np.array([1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125]))
+    profile = SeparationProfile(np.array([0.5, 0.5, 0.5, 1.0, 1.0, 1.0]), horizon=8)
+    plan = build_index_plan(d, profile, mode="strict")
+    steps = build_step_sequence(plan, d, profile, 1.0)
+    wit = witness_solve(chain, list(zip(steps.z, steps.e)))
+    tilde = compute_tilde_a([(plan, profile)])
+    vector = wit.vector.copy()
+    lowered = d.values[0] * (1 - 5e-9)  # rho(x, Y_2) = |x[2:]|, with c = 1
+    vector[2] = np.sqrt(lowered ** 2 - np.sum(vector[3:] ** 2))
+    report = sandwich_check(dataclasses.replace(wit, vector=vector),
+                            chain, d, 1.0, tilde, plan, profile)
+    assert report.overall_passed
+    checks = {(ch.n, ch.kind): ch.passed for ch in report.intermediate}
+    assert checks[(2, "lower-route")] is False
+    assert checks[(2, "upper-route")] is True
+
+
 def test_row_count_respects_coverage_and_requests():
     wit, chain, d, c, tilde, plan, profile = orthogonal_setup(n=6)
     report = sandwich_check(wit, chain, d, c, tilde, n_rows=4)

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,7 +107,7 @@ def test_randomized_family_covers_requested_rows():
         bundle = run_scenario(cfg, seed=42)
         assert bundle["status"] == "pass"
         assert len(bundle["sandwich"]["rows"]) == cfg["d"]["N"]
-        assert bundle["witness"]["method"] == "damped-iteration"
+        assert bundle["witness"]["method"] == "anchor-recurrence"
 
 
 def test_run_is_deterministic(tmp_path):
@@ -140,11 +141,12 @@ def test_config_validation_paths():
     with pytest.raises(ConfigInvalid):
         validate_config(cfg)
 
-    cfg = orthogonal_geometric_config()
-    cfg["estimation"] = {"descent_iters": 10_000}  # removed: nothing read it
-    with pytest.raises(ConfigInvalid) as excinfo:
-        validate_config(cfg)
-    assert excinfo.value.path == "estimation"
+    for removed in ("descent_iters", "tol"):  # nothing reads them any more
+        cfg = orthogonal_geometric_config()
+        cfg["estimation"] = {removed: 1e-10}
+        with pytest.raises(ConfigInvalid) as excinfo:
+            validate_config(cfg)
+        assert excinfo.value.path == "estimation"
 
 
 # Each of these passed the JSON schema, whose bounds are false for NaN, and
@@ -250,9 +252,9 @@ def test_weighted_euclidean_scenario():
     }
     bundle = run_scenario(cfg, seed=42)
     assert bundle["status"] == "pass"
-    # weights keep the chain orthogonal in the scaled frame, so the damped
-    # iteration starts exact and the sandwich still collapses
-    assert bundle["witness"]["method"] == "damped-iteration"
+    # weights keep the chain orthogonal in the scaled frame, so the anchor
+    # recurrence reduces to the telescoping rule and the sandwich collapses
+    assert bundle["witness"]["method"] == "anchor-recurrence"
     for row in bundle["sandwich"]["rows"]:
         assert abs(row["achieved"] - row["lower"]) <= 1e-9
 
@@ -353,6 +355,13 @@ def test_demo_rejects_degree_overflow():
         demo_dense_chain(grid=8, degrees=8)
 
 
+def test_readme_config_example_is_valid():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("Scenario configs look like:", 1)[1]
+    example = example.split("```json", 1)[1].split("```", 1)[0]
+    validate_config(json.loads(example))
+
+
 def test_bundled_names():
     assert set(bundled_scenarios()) == {"orthogonal-geometric", "tilted-chain"}
 
@@ -370,6 +379,11 @@ def test_cli_exit_codes(tmp_path):
     bad = orthogonal_geometric_config()
     bad["c"] = 2.0
     bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(bad))
+    assert main(["verify", "--config", str(bad_path)]) == 3
+
+    bad = orthogonal_geometric_config()
+    bad["estimation"] = {"tol": 1e-10}  # the exact witness needs no tolerance
     bad_path.write_text(json.dumps(bad))
     assert main(["verify", "--config", str(bad_path)]) == 3
 

@@ -8,11 +8,16 @@ from lethargy_lab import (
     NormedSpace,
     TargetsNotMonotonic,
     achieved_distances,
+    build_index_plan,
+    build_step_sequence,
     make_chain_from_bases,
     make_coordinate_chain,
+    run_scenario,
+    separation_profile,
     witness_coordinate_exact,
     witness_solve,
 )
+from lethargy_lab.scenarios import _tilted_frame, random_tilted_config, tilted_chain_config
 
 SQRT3 = np.sqrt(3.0)
 
@@ -85,9 +90,9 @@ def test_solve_matches_telescoping_on_orthogonal_chain():
     targets = [(k, float(d.values[k - 1])) for k in range(1, 5)]
     solved = witness_solve(chain, targets)
     np.testing.assert_allclose(solved.coefficients[:4], exact.coefficients,
-                               atol=1e-8)
+                               atol=1e-14)
     assert solved.residual <= 1e-9
-    assert solved.method == "damped-iteration"
+    assert solved.method == "anchor-recurrence"
     assert solved.converged
 
 
@@ -154,12 +159,79 @@ def test_no_progress_on_infeasible_targets():
     bases = [eye[:1], eye[:3], eye[:4]]
     q2 = (eye[3] + 5.0 * eye[2]) / np.sqrt(26.0)
     chain = make_chain_from_bases(space, bases, [eye[1], q2])
-    with pytest.raises(NoProgress) as excinfo:
+    with pytest.raises(NoProgress, match="anchor 1 ") as excinfo:
         witness_solve(chain, [(1, 0.4), (2, 0.399)])
     partial = excinfo.value.witness
     assert partial is not None
     assert partial.residual > 1e-8
     assert not partial.converged
+
+
+def _relative_errors(wit):
+    return [abs(a - e) / e for a, (_, e) in zip(wit.achieved, wit.targets)]
+
+
+def _chain_of(bases, staircase):
+    dim = len(bases[0][0])
+    return make_chain_from_bases(NormedSpace(dim, 2.0), [np.array(b) for b in bases],
+                                 [np.array(q) for q in staircase])
+
+
+def test_solve_nearly_equal_targets_on_a_tilted_frame():
+    chain = _chain_of(*_tilted_frame(5, 4, {1: 1.0}))
+    wit = witness_solve(chain, [(1, 1.0), (2, 0.99)])
+    assert max(_relative_errors(wit)) <= 1e-14
+
+
+def test_bundled_tilted_chain_anchors_are_exact():
+    bundle = run_scenario(tilted_chain_config(), seed=42, stage="witness")
+    wit = bundle["witness"]
+    errors = [abs(a - e) / e for a, (_, e) in zip(wit["achieved"], wit["targets"])]
+    assert max(errors) <= 1e-14
+
+
+def test_equal_consecutive_targets_are_met():
+    # with e_{j+1} = e_j the anchor quadratic has a double root at zero room,
+    # which rounding pushes to about -1e-31; that must not count as infeasible
+    for seed in range(5):
+        cfg = random_tilted_config(seed)
+        chain = _chain_of(cfg["chain"]["bases"], cfg["chain"]["staircase"])
+        K = len(chain.staircase)
+        wit = witness_solve(chain, [(1, 1.0), (K - 1, 0.3), (K, 0.3)])
+        assert max(_relative_errors(wit)) <= 1e-14
+
+
+def _random_chain(rng, jumps):
+    """Chain in a random orthonormal frame whose dimension grows by ``jumps``,
+    each staircase vector tilted into the lower levels."""
+    dims = np.cumsum(np.concatenate([[int(rng.integers(1, 3))], jumps]))
+    dim = int(dims[-1]) + 1
+    frame = np.linalg.qr(rng.normal(size=(dim, dim)))[0].T
+    staircase = []
+    for lo, hi in zip(dims, dims[1:]):
+        q = rng.normal(size=hi - lo) @ frame[lo:hi]
+        q /= np.linalg.norm(q)
+        q += rng.uniform(0.0, 0.6) * (rng.normal(size=lo) @ frame[:lo]) / np.sqrt(lo)
+        staircase.append(q / np.linalg.norm(q))
+    return make_chain_from_bases(NormedSpace(dim, 2.0), [frame[:m] for m in dims],
+                                 staircase)
+
+
+def test_plan_targets_met_on_unit_and_multi_dimensional_steps():
+    # the smallest target stays above 1e-5 |x|: an ambient vector carries a
+    # distance only to about eps |x|, so the recomputed achieved values could
+    # not show 1e-10 relative accuracy below that
+    for seed in range(40):
+        rng = np.random.default_rng([7, seed])
+        levels = int(rng.integers(6, 11))
+        jumps = np.ones(levels, int) if seed % 2 else rng.integers(1, 4, size=levels)
+        chain = _random_chain(rng, jumps)
+        profile = separation_profile(chain)
+        d = ErrorSequence.geometric(float(rng.uniform(0.3, 0.5)), levels)
+        plan = build_index_plan(d, profile)
+        steps = build_step_sequence(plan, d, profile, float(rng.choice([1.0, 0.5, 0.1])))
+        wit = witness_solve(chain, list(zip(steps.z, steps.e)))
+        assert max(_relative_errors(wit)) <= 1e-10, seed
 
 
 def test_zero_vector_distances():
