@@ -9,7 +9,7 @@ labeled in the provenance block.
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from pathlib import Path
 
@@ -123,15 +123,22 @@ SCENARIO_SCHEMA = {
 }
 
 
+@functools.cache
+def _schema_validator():
+    """SCENARIO_SCHEMA's validator, built once; the tests check the schema."""
+    from jsonschema.validators import validator_for
+
+    return validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
+
+
 def validate_config(config: dict) -> None:
     """Schema, finiteness and cross-field checks; failures carry the field path."""
-    import jsonschema
+    from jsonschema.exceptions import best_match
 
-    try:
-        jsonschema.validate(config, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(part) for part in exc.absolute_path)
-        raise ConfigInvalid(f"{path or '<root>'}: {exc.message}", path=path) from exc
+    error = best_match(_schema_validator().iter_errors(config))
+    if error is not None:
+        path = "/".join(str(part) for part in error.absolute_path)
+        raise ConfigInvalid(f"{path or '<root>'}: {error.message}", path=path) from error
     reject_nonfinite(config)
 
     d = config["d"]
@@ -157,7 +164,8 @@ def validate_config(config: dict) -> None:
 
 
 def _normalized(config: dict) -> dict:
-    cfg = json.loads(json.dumps(config))  # deep copy, JSON-clean
+    """Defaults filled in on copies of the dicts written to; shares ``chain``."""
+    cfg = dict(config, space=dict(config["space"]), d=dict(config["d"]))
     cfg.setdefault("name", "scenario")
     cfg.setdefault("mode", "strict")
     cfg["space"].setdefault("weights", None)
@@ -165,8 +173,8 @@ def _normalized(config: dict) -> dict:
     cfg["d"].setdefault("values", None)
     if cfg["d"]["kind"] == "explicit":
         cfg["d"].setdefault("N", len(cfg["d"]["values"]))
-    est = cfg.setdefault("estimation", {})
-    est.setdefault("sphere_samples", 4096)
+    cfg["estimation"] = dict(cfg.get("estimation", {}))
+    cfg["estimation"].setdefault("sphere_samples", 4096)
     cfg.setdefault("horizon_margin", DEFAULT_MARGIN)
     return cfg
 

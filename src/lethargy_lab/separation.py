@@ -6,7 +6,10 @@ For a chain with staircase vectors q_k, the tail-span ratio at level l is
 
 and a_n is the minimum of these ratios over l >= n. In the Euclidean norm
 the ratio is the sine of the smallest principal angle between the span and
-Y_l, computed exactly from singular values. Other norms get a seeded
+Y_l: one SVD per level of Y_l's frame against rows l.. of one orthonormal
+frame of all tail spans, built from the back (Bjorck & Golub 1973). Below
+sin^2 = 1/4 the sine comes from the span's residual off Y_l, not from
+1 - cos^2 (Knyazev & Argentati 2002). Other norms get a seeded
 quasi-random sphere search with local refinement; those values are labeled
 estimates with upper-bound semantics.
 """
@@ -39,15 +42,36 @@ class RatioValue:
     samples: int = 0
 
 
-def _exact_ratio(space: NormedSpace, span_rows: np.ndarray, target: Subspace) -> RatioValue:
-    w = space.scaling()
-    span_frame = orthonormal_rows(span_rows * w)
-    cross = target.orthonormal_basis(space.weights) @ span_frame.T
-    u, s, vh = np.linalg.svd(cross)
-    sigma = min(1.0, float(s[0])) if s.size else 0.0
+def _tail_frame(space: NormedSpace, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled ``rows`` and a frame whose rows j.. span scaled rows j..: row j
+    is scaled row j orthogonalised (twice) against the rows below, normalised."""
+    scaled = np.asarray(rows, dtype=float) * space.scaling()
+    frame = np.empty_like(scaled)
+    for j in range(len(scaled) - 1, -1, -1):
+        r, below = scaled[j], frame[j + 1:]
+        for _ in range(2):
+            r = r - (below @ r) @ below
+        frame[j] = orthonormal_rows(r, require_full_rank=True)[0]
+    return scaled, frame
+
+
+def _exact_ratio(space: NormedSpace, rows: np.ndarray, frame: np.ndarray,
+                 target: Subspace) -> RatioValue:
+    """Sine of the smallest principal angle between the span of the scaled
+    ``rows``, with orthonormal ``frame``, and the scaled ``target``."""
+    onb = target.orthonormal_basis(space.weights)
+    _, s, vh = np.linalg.svd(onb @ frame.T)
+    sigma = min(1.0, float(s[0]))
     value = math.sqrt(max(0.0, 1.0 - sigma * sigma))
-    direction = vh[0] @ span_frame if s.size else span_frame[0]
-    witness = direction / w
+    direction = vh[0] @ frame
+    if value * value < 0.25:
+        # 1 - cos^2 cancels here: the sines are the singular values of the
+        # rows' residual off the target, written in frame coordinates
+        x = np.linalg.solve(rows @ frame.T, rows - (rows @ onb.T) @ onb)
+        u, s, _ = np.linalg.svd(x, full_matrices=False)
+        value = float(s[-1])
+        direction = u[:, -1] @ frame
+    witness = direction / space.scaling()
     witness = witness / np.linalg.norm(witness)
     return RatioValue(value, "principal-angle", True, witness)
 
@@ -130,6 +154,14 @@ def _sampled_ratio(
     return RatioValue(best_value, "sampled-descent", False, witness, len(dirs))
 
 
+def _exact_path(space: NormedSpace, method: str) -> bool:
+    if method not in ("auto", "exact", "estimate"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "exact" and space.p != 2.0:
+        raise ValueError("exact ratios require the Euclidean norm")
+    return method == "exact" or method == "auto" and space.p == 2.0
+
+
 def min_ratio_over_span(
     chain: SubspaceChain,
     l: int,
@@ -149,16 +181,12 @@ def min_ratio_over_span(
     if k_max == 0 or not (1 <= l <= upper <= k_max):
         raise EmptySpan(f"span indices l={l}, upper={upper} invalid for "
                         f"{k_max} staircase vectors")
-    span_rows = np.vstack(chain.staircase[l - 1:upper])
     target = chain.subspaces[l - 1]
-    if method not in ("auto", "exact", "estimate"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "exact" and chain.space.p != 2.0:
-        raise ValueError("exact ratios require the Euclidean norm")
-    if method == "estimate" or (method == "auto" and chain.space.p != 2.0):
-        return _sampled_ratio(chain.space, span_rows, target, samples,
-                              [seed, l, upper], refine)
-    return _exact_ratio(chain.space, span_rows, target)
+    if _exact_path(chain.space, method):
+        rows, frame = _tail_frame(chain.space, chain.staircase[l - 1:upper])
+        return _exact_ratio(chain.space, rows, frame, target)
+    return _sampled_ratio(chain.space, np.vstack(chain.staircase[l - 1:upper]),
+                          target, samples, [seed, l, upper], refine)
 
 
 @dataclass
@@ -218,10 +246,15 @@ def separation_profile(
     k_max = len(chain.staircase)
     if k_max == 0:
         raise EmptySpan("chain has no staircase vectors")
-    ratios = [
-        min_ratio_over_span(chain, l, k_max, method=method, samples=samples, seed=seed)
-        for l in range(1, k_max + 1)
-    ]
+    if _exact_path(chain.space, method):
+        # every tail span's frame is a slice of one frame, built once
+        rows, frame = _tail_frame(chain.space, chain.staircase)
+        ratios = [_exact_ratio(chain.space, rows[l:], frame[l:], chain.subspaces[l])
+                  for l in range(k_max)]
+    else:
+        ratios = [min_ratio_over_span(chain, l, k_max, method=method,
+                                      samples=samples, seed=seed)
+                  for l in range(1, k_max + 1)]
     a = np.empty(k_max)
     running = math.inf
     for idx in range(k_max - 1, -1, -1):

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 from pathlib import Path
@@ -13,9 +14,10 @@ from lethargy_lab import (
     distance,
     make_coordinate_chain,
 )
-from lethargy_lab import separation
+from lethargy_lab import scenarios, separation
 from lethargy_lab.cli import main
 from lethargy_lab.scenarios import (
+    SCENARIO_SCHEMA,
     _chebyshev_columns,
     _tilted_frame,
     bundled_scenarios,
@@ -186,12 +188,23 @@ def test_non_finite_config_numbers_are_config_errors(tmp_path, capsys, path, val
 
 
 def test_each_subspace_is_orthonormalised_once(monkeypatch):
-    calls = {"svd": 0, "levels": 0}
+    calls = {"svd": 0, "levels": 0, "in_profile": False}
+    shapes = []  # of the SVDs taken inside a separation profile
     real_svd, real_ratio = np.linalg.svd, separation._exact_ratio
+    real_profile = scenarios.separation_profile
 
     def counting_svd(*args, **kwargs):
         calls["svd"] += 1
+        if calls["in_profile"]:
+            shapes.append(np.shape(args[0]))
         return real_svd(*args, **kwargs)
+
+    def recording_profile(*args, **kwargs):
+        calls["in_profile"] = True
+        try:
+            return real_profile(*args, **kwargs)
+        finally:
+            calls["in_profile"] = False
 
     def counting_ratio(*args, **kwargs):
         calls["levels"] += 1
@@ -202,6 +215,7 @@ def test_each_subspace_is_orthonormalised_once(monkeypatch):
     rank = getattr(np.linalg.matrix_rank, "__wrapped__", np.linalg.matrix_rank)
     monkeypatch.setitem(rank.__globals__, "svd", counting_svd)
     monkeypatch.setattr(separation, "_exact_ratio", counting_ratio)
+    monkeypatch.setattr(scenarios, "separation_profile", recording_profile)
 
     # coordinate subspaces come with their frame; distances only read it
     dim = 48
@@ -228,6 +242,13 @@ def test_each_subspace_is_orthonormalised_once(monkeypatch):
     assert bundle["status"] == "pass"
     assert calls["levels"] >= 40
     assert calls["svd"] <= 2 * calls["levels"]
+    # inside a profile: one cross-Gram SVD per level, and the tail-span frame
+    # is built one row at a time
+    k_max = len(bundle["profile"]["a"])
+    for l in range(1, k_max + 1):
+        shapes.remove((l, k_max - l + 1))  # Y_l against the tail span at l
+    assert len(shapes) == k_max
+    assert all(rows == 1 for rows, _ in shapes)
 
 
 def test_witness_stage_requires_euclidean_norm():
@@ -353,6 +374,40 @@ def test_demo_exp_decays_fast():
 def test_demo_rejects_degree_overflow():
     with pytest.raises(DegreeExceedsGrid):
         demo_dense_chain(grid=8, degrees=8)
+
+
+def test_scenario_schema_is_valid_against_its_metaschema():
+    # validate_config builds its validator once and does not re-check the schema
+    from jsonschema.validators import validator_for
+
+    validator_for(SCENARIO_SCHEMA).check_schema(SCENARIO_SCHEMA)
+
+
+def test_run_leaves_the_config_alone_and_echoes_it(tmp_path):
+    minimal = {
+        "space": {"dim": 8, "p": 2},
+        "chain": {"type": "coordinate"},
+        "d": {"kind": "explicit", "values": [1.0, 0.5, 0.25]},
+        "c": 1.0,
+        "estimation": {},
+    }
+    for cfg in (tilted_chain_config(rows=4, dim=8), minimal):
+        before = copy.deepcopy(cfg)
+        bundle = run_scenario(cfg, out_dir=tmp_path, fmt="json", mode="literal")
+        assert cfg == before
+        # the echo is the config with its defaults filled in, as a JSON
+        # round-trip copy gives it
+        expected = json.loads(json.dumps(cfg))
+        expected.setdefault("name", "scenario")
+        expected["mode"] = "literal"
+        expected["space"].setdefault("weights", None)
+        expected["d"] = {"ratio": None, "values": None, "N": 3} | expected["d"]
+        expected["estimation"] = {"sphere_samples": 4096}
+        expected["horizon_margin"] = 4
+        dump = json.dumps(expected, indent=2, sort_keys=True)
+        assert json.dumps(bundle["config"], indent=2, sort_keys=True) == dump
+        echoed = json.loads((tmp_path / f"{expected['name']}.json").read_text())
+        assert json.dumps(echoed["config"], indent=2, sort_keys=True) == dump
 
 
 def test_readme_config_example_is_valid():

@@ -275,3 +275,39 @@ def test_sampled_lps_warm_start_without_changing_values(monkeypatch):
         q = ratio.witness
         value = distance(chain.space, q, target).value / chain.space.norm_of(q)
         assert ratio.value == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.parametrize("a", [1e-6, 1e-7, 1e-8])
+def test_small_angle_ratio_is_relatively_accurate(a):
+    # below sin^2 = 1/4 the sine comes from the residual off Y_l, not from
+    # sqrt(1 - cos^2), which lost 4.4e-5 relative at a = 1e-6 and 1.2e-2 at
+    # 1e-7, and rounded to 0 at 1e-8
+    from lethargy_lab.scenarios import _tilted_frame
+
+    tau = math.sqrt(1.0 / (a * a) - 1.0)
+    bases, staircase = _tilted_frame(8, 6, {1: tau})
+    chain = make_chain_from_bases(NormedSpace(8, 2.0), bases, staircase)
+    prof = separation_profile(chain)
+    exact = 1.0 / math.sqrt(1.0 + tau * tau)
+    assert prof.certified
+    assert abs(prof.a[0] - exact) <= 1e-14 * exact
+    q = prof.ratios[0].witness
+    assert chain.subspaces[0].residual_of(q) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_single_span_ratio_matches_the_profile(seed, weighted):
+    # min_ratio_over_span builds its own tail frame; the profile slices one
+    from lethargy_lab.scenarios import random_tilted_config
+
+    cfg = random_tilted_config(seed)
+    dim = cfg["space"]["dim"]
+    weights = np.array([1.0 + 0.1 * i for i in range(dim)]) if weighted else None
+    chain = make_chain_from_bases(NormedSpace(dim, 2.0, weights),
+                                  cfg["chain"]["bases"], cfg["chain"]["staircase"])
+    ratios = separation_profile(chain).ratios
+    for l in range(1, len(chain.staircase) + 1):
+        single = min_ratio_over_span(chain, l)
+        assert single.method == "principal-angle" and single.certified
+        assert abs(single.value - ratios[l - 1].value) <= 1e-15 * ratios[l - 1].value
